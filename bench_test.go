@@ -216,23 +216,6 @@ func BenchmarkAblationPoolOrder(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationVertexOrder(b *testing.B) {
-	// Natural input order vs degeneracy relabelling: the preprocessing
-	// the clique literature applies before branch and bound.
-	g := table1Graph("sanr400_0.7")
-	b.Run("natural", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			maxclique.Solve(g, core.Sequential, core.Config{})
-		}
-	})
-	b.Run("degeneracy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s, _ := maxclique.NewSpaceDegeneracy(g)
-			core.Opt(core.Sequential, s, maxclique.Root(s), maxclique.OptProblem(), core.Config{})
-		}
-	})
-}
-
 func BenchmarkAblationBoundLatency(b *testing.B) {
 	g := table1Graph("p_hat300-3")
 	w := benchWorkers()
@@ -567,7 +550,7 @@ func runScaleout(b *testing.B, g *graph.Graph, topo string, kill bool, want int6
 func BenchmarkScaleoutTopology(b *testing.B) {
 	// Big enough that a 60ms-delayed kill lands mid-search, small
 	// enough that a full star+mesh × nofail+death pass stays in seconds.
-	g := graph.Random(130, 0.8, 42)
+	g := graph.Random(160, 0.8, 42)
 	best, _ := maxclique.SeqHandcoded(g)
 	want := int64(best.Count())
 	for _, tc := range []struct {
@@ -694,7 +677,7 @@ func runFailover(b *testing.B, g *graph.Graph, wire dist.WireOptions, kill bool,
 }
 
 func BenchmarkFailover(b *testing.B) {
-	g := graph.Random(130, 0.8, 42)
+	g := graph.Random(160, 0.8, 42)
 	best, _ := maxclique.SeqHandcoded(g)
 	want := int64(best.Count())
 	for _, tc := range []struct {
@@ -1128,7 +1111,7 @@ func runNetFault(b *testing.B, g *graph.Graph, wire dist.WireOptions, want int64
 }
 
 func BenchmarkNetFault(b *testing.B) {
-	g := graph.Random(130, 0.8, 42)
+	g := graph.Random(160, 0.8, 42)
 	best, _ := maxclique.SeqHandcoded(g)
 	want := int64(best.Count())
 	b.Run("grace-off", func(b *testing.B) {

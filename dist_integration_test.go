@@ -158,6 +158,15 @@ func resultLine(t *testing.T, output string) string {
 	return ""
 }
 
+// timedRun runs one single-process search and returns its combined
+// output and wall time. The fault tests report that failure-free time
+// when a search outruns its scheduled kill or cut.
+func timedRun(bin string, appFlags []string) ([]byte, time.Duration, error) {
+	start := time.Now()
+	out, err := exec.Command(bin, appFlags...).CombinedOutput()
+	return out, time.Since(start), err
+}
+
 func testDistMatchesSingle(t *testing.T, appFlags []string) {
 	bin := yewparBinary(t)
 	single, err := exec.Command(bin, appFlags...).CombinedOutput()
@@ -239,12 +248,12 @@ func TestDistributedMeshMaxCliqueSurvivesWorkerSIGKILL(t *testing.T) {
 
 func testMaxCliqueSurvivesWorkerSIGKILL(t *testing.T, extraFlags []string) {
 	bin := yewparBinary(t)
-	// n=160 p=0.8 runs well over a second in this deployment, so a
-	// kill shortly after registration lands mid-search.
-	appFlags := []string{"-app", "maxclique", "-n", "160", "-p", "0.8", "-skeleton", "depthbounded", "-d", "2", "-workers", "2"}
+	// n=200 p=0.8 runs for most of a second even single-process, so a
+	// kill 250ms after registration lands mid-search.
+	appFlags := []string{"-app", "maxclique", "-n", "200", "-p", "0.8", "-skeleton", "depthbounded", "-d", "2", "-workers", "2"}
 	appFlags = append(appFlags, extraFlags...)
 
-	single, err := exec.Command(bin, appFlags...).CombinedOutput()
+	single, freeElapsed, err := timedRun(bin, appFlags)
 	if err != nil {
 		t.Fatalf("single-process run failed: %v\n%s", err, single)
 	}
@@ -299,7 +308,7 @@ func testMaxCliqueSurvivesWorkerSIGKILL(t *testing.T, extraFlags []string) {
 	select {
 	case <-killed:
 	default:
-		t.Fatalf("search finished before the kill fired; output:\n%s", out)
+		t.Fatalf("search finished before the kill fired (failure-free run took %v); output:\n%s", freeElapsed, out)
 	}
 
 	if got := resultLine(t, out); got != wantAnswer {
@@ -348,17 +357,17 @@ func TestDistributedMaxCliqueSurvivesCoordinatorThenWorkerSIGKILL(t *testing.T) 
 
 func testMaxCliqueSurvivesCoordinatorSIGKILL(t *testing.T, extraFlags []string, alsoKillWorker bool) {
 	bin := yewparBinary(t)
-	appFlags := []string{"-app", "maxclique", "-n", "160", "-p", "0.8", "-skeleton", "depthbounded",
+	appFlags := []string{"-app", "maxclique", "-n", "200", "-p", "0.8", "-skeleton", "depthbounded",
 		"-d", "2", "-workers", "2", "-standby", "-max-failures", "1"}
 	if alsoKillWorker {
 		// A bigger instance keeps the search alive past the second,
 		// later kill; the budget covers both deaths.
-		appFlags[3] = "170"
+		appFlags[3] = "210"
 		appFlags[len(appFlags)-1] = "2"
 	}
 	appFlags = append(appFlags, extraFlags...)
 
-	single, err := exec.Command(bin, appFlags...).CombinedOutput()
+	single, freeElapsed, err := timedRun(bin, appFlags)
 	if err != nil {
 		t.Fatalf("single-process run failed: %v\n%s", err, single)
 	}
@@ -378,7 +387,7 @@ func testMaxCliqueSurvivesCoordinatorSIGKILL(t *testing.T, extraFlags []string, 
 		}
 	}
 	if !landed {
-		t.Fatal("search finished before the chaos kill fired on every attempt")
+		t.Fatalf("search finished before the chaos kill fired on every attempt (failure-free run took %v)", freeElapsed)
 	}
 	defer func() {
 		for _, w := range workers {

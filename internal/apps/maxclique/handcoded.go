@@ -17,99 +17,74 @@ import (
 // candidate sets live in per-depth scratch buffers, nodes are never
 // copied, and there are no generator objects.
 
-// hcState is the per-worker state of the hand-coded solvers. The
-// incumbent is abstracted over two closures so the sequential solver
-// can use a plain int and the parallel one an atomic shared between
-// workers.
+// hcState is the per-worker state of the hand-coded solvers. It
+// searches the Space's search-order rows, like the skeleton, and keeps
+// current in G's labels. The incumbent is abstracted over two closures
+// so the sequential solver can use a plain int and the parallel one an
+// atomic shared between workers.
 type hcState struct {
-	g            *graph.Graph
-	current      bitset.Set
-	uncol, class bitset.Set     // colouring scratch (colourInto is not reentrant)
-	locals       []bitset.Set   // per-depth shrinking candidate sets
-	nexts        []bitset.Set   // per-depth child candidate sets
-	order        [][]int32      // per-depth colour orders
-	colour       [][]int32      // per-depth colour bounds
+	s            *Space
+	current      bitset.Set     // clique under construction, G labels
+	uncol, class bitset.Set     // colouring scratch (not reentrant)
+	levels       []hcLevel      // per-depth scratch, grown on first use
 	nodes        int64          // search nodes visited
 	best         func() int     // incumbent read
 	report       func(size int) // incumbent strengthen (clique = current)
 }
 
-func newHCState(g *graph.Graph, best func() int, report func(int)) *hcState {
-	d := g.N + 2
-	st := &hcState{
-		g:       g,
-		current: bitset.New(g.N),
-		uncol:   bitset.New(g.N),
-		class:   bitset.New(g.N),
-		locals:  make([]bitset.Set, d),
-		nexts:   make([]bitset.Set, d),
-		order:   make([][]int32, d),
-		colour:  make([][]int32, d),
-		best:    best,
-		report:  report,
-	}
-	for i := 0; i < d; i++ {
-		st.locals[i] = bitset.New(g.N)
-		st.nexts[i] = bitset.New(g.N)
-		st.order[i] = make([]int32, 0, g.N)
-		st.colour[i] = make([]int32, 0, g.N)
-	}
+// hcLevel is one depth's scratch: the shrinking candidate set, the
+// child candidate set, and the colour order and bounds.
+type hcLevel struct {
+	local, next   bitset.Set
+	order, colour []int32
+}
+
+func newHCState(s *Space, best func() int, report func(int)) *hcState {
+	st := &hcState{s: s, current: bitset.New(s.G.N), best: best, report: report}
+	st.uncol, st.class = bitset.MakePair(s.G.N)
 	return st
 }
 
-// colourInto is GreedyColour writing into the depth's scratch slices.
-// It does not modify p.
-func (st *hcState) colourInto(depth int, p bitset.Set) ([]int32, []int32) {
-	order := st.order[depth][:0]
-	colour := st.colour[depth][:0]
-	st.uncol.CopyFrom(p)
-	c := int32(0)
-	for !st.uncol.Empty() {
-		c++
-		st.class.CopyFrom(st.uncol)
-		for {
-			v := st.class.PopNext()
-			if v < 0 {
-				break
-			}
-			order = append(order, int32(v))
-			colour = append(colour, c)
-			st.uncol.Remove(v)
-			st.class.DifferenceWith(st.g.Adj[v])
-		}
-	}
-	st.order[depth], st.colour[depth] = order, colour
-	return order, colour
-}
-
 func (st *hcState) expand(size int, p bitset.Set, depth int) {
-	order, colour := st.colourInto(depth, p)
-	local := st.locals[depth]
-	local.CopyFrom(p)
+	n := st.s.G.N
+	if depth == len(st.levels) {
+		local, next := bitset.MakePair(n)
+		st.levels = append(st.levels, hcLevel{local, next, make([]int32, 0, n), make([]int32, 0, n)})
+	}
+	// Copied out: deeper calls may grow st.levels. The order and colour
+	// slices hold up to n entries, so colouring never reallocates them.
+	lv := st.levels[depth]
+	order, colour := bitset.ColourClasses(p, st.s.rows, st.uncol, st.class, lv.order[:0], lv.colour[:0])
+	lv.local.CopyFrom(p)
 	for i := len(order) - 1; i >= 0; i-- {
-		if size+int(colour[i]) <= st.best() {
-			return // every remaining candidate has a lower colour bound
-		}
+		// Each child is visited as the skeleton visits it: counted,
+		// offered as incumbent, then bound-tested, so both solvers
+		// report the same number of nodes for the same tree.
 		v := int(order[i])
-		st.current.Add(v)
+		u := int(st.s.label[v])
+		st.current.Add(u)
 		st.nodes++
 		st.report(size + 1)
-		local.Remove(v)
-		next := st.nexts[depth]
-		if bitset.IntersectIntoCount(next, local, st.g.Adj[v]) > 0 {
-			st.expand(size+1, next, depth+1)
+		if size+int(colour[i]) <= st.best() {
+			st.current.Remove(u)
+			return // every remaining candidate has a lower colour bound
 		}
-		st.current.Remove(v)
+		lv.local.Remove(v)
+		if bitset.IntersectIntoCount(lv.next, lv.local, st.s.rows[v]) > 0 {
+			st.expand(size+1, lv.next, depth+1)
+		}
+		st.current.Remove(u)
 	}
 }
 
 // SeqHandcoded finds a maximum clique with the specialised sequential
-// solver. It returns the clique and the number of search nodes visited.
+// solver, searching the same order as the skeleton. It returns the
+// clique, in g's labels, and the number of search nodes visited.
 func SeqHandcoded(g *graph.Graph) (bitset.Set, int64) {
 	bestSet := bitset.New(g.N)
 	best := 0
 	var st *hcState
-	st = newHCState(g,
+	st = newHCState(NewSpace(g),
 		func() int { return best },
 		func(size int) {
 			if size > best {
@@ -125,7 +100,8 @@ func SeqHandcoded(g *graph.Graph) (bitset.Set, int64) {
 	return bestSet, st.nodes
 }
 
-// parTask is one depth-1 subtree of the hand-coded parallel solver.
+// parTask is one depth-1 subtree of the hand-coded parallel solver;
+// v and cands are in search labels.
 type parTask struct {
 	v     int
 	cands bitset.Set
@@ -145,9 +121,10 @@ func ParHandcoded(g *graph.Graph, workers int) (bitset.Set, int64) {
 	if g.N == 0 {
 		return bestSet, 0
 	}
+	s := NewSpace(g)
 	all := bitset.New(g.N)
 	all.Fill()
-	order, colour := GreedyColour(g, all)
+	order, colour := greedyColour(s.rows, all)
 
 	var best atomic.Int64
 	var mu sync.Mutex
@@ -160,7 +137,7 @@ func ParHandcoded(g *graph.Graph, workers int) (bitset.Set, int64) {
 		v := int(order[i])
 		remaining.Remove(v)
 		cands := remaining.Clone()
-		cands.IntersectWith(g.Adj[v])
+		cands.IntersectWith(s.rows[v])
 		tasks <- parTask{v: v, cands: cands, bound: colour[i]}
 	}
 	close(tasks)
@@ -171,7 +148,7 @@ func ParHandcoded(g *graph.Graph, workers int) (bitset.Set, int64) {
 		go func() {
 			defer wg.Done()
 			var st *hcState
-			st = newHCState(g,
+			st = newHCState(s,
 				func() int { return int(best.Load()) },
 				func(size int) {
 					if int64(size) <= best.Load() {
@@ -191,7 +168,7 @@ func ParHandcoded(g *graph.Graph, workers int) (bitset.Set, int64) {
 					continue // whole subtree dominated
 				}
 				st.current.Clear()
-				st.current.Add(t.v)
+				st.current.Add(int(s.label[t.v]))
 				st.nodes++
 				st.report(1)
 				if !t.cands.Empty() {

@@ -7,6 +7,16 @@
 // using a greedy colouring both as the heuristic child order (highest
 // colour class first) and as the pruning bound: a candidate set that
 // can be coloured with c colours contains no clique larger than c.
+//
+// Like their MCSa, the search runs in a fixed initial vertex order:
+// NewSpace relabels the adjacency rows once by non-increasing degree,
+// ties broken by vertex index (graph.DegreeOrder), so the colouring,
+// which scans ascending labels, meets high-degree vertices first. The
+// skeletons and the hand-coded solvers all search those rows. The
+// labelling contract: Node.Cands holds search labels, while
+// Node.Clique and every returned witness hold the input graph's own
+// labels, so callers never see the order. Each locality derives the
+// same order from the same graph, so nodes cross the wire unchanged.
 package maxclique
 
 import (
@@ -15,36 +25,47 @@ import (
 	"yewpar/internal/graph"
 )
 
-// Space is the search space: the input graph (immutable during search).
+// Space is the search space: the input graph G, untouched, beside its
+// adjacency rows relabelled into the search order (see the package
+// doc). Search vertex i is G's vertex label[i], and rows[i] is its
+// neighbourhood in search labels.
 type Space struct {
-	G *graph.Graph
+	G     *graph.Graph
+	rows  []bitset.Set // search-order adjacency, one slab
+	label []int32      // search vertex -> G vertex
 }
 
-// NewSpace wraps a graph as a search space.
-func NewSpace(g *graph.Graph) *Space { return &Space{G: g} }
-
-// NewSpaceDegeneracy relabels the graph by its degeneracy order before
-// wrapping it: dense-core vertices get low indices, which the greedy
-// colouring (it scans ascending indices) rewards with tighter bounds.
-// Returns the space and the mapping from new index back to the
-// original vertex.
-func NewSpaceDegeneracy(g *graph.Graph) (*Space, []int) {
-	order, _ := g.DegeneracyOrder()
-	// order[i] = original vertex at new position i ⇒ perm[orig] = new
-	perm := make([]int, g.N)
+// NewSpace wraps a graph as a search space, computing the MCSa initial
+// order once: non-increasing degree, ties broken by vertex index
+// (graph.DegreeOrder).
+func NewSpace(g *graph.Graph) *Space {
+	order := g.DegreeOrder()
+	pos := make([]int32, g.N) // G vertex -> search vertex
+	label := make([]int32, g.N)
 	for i, v := range order {
-		perm[v] = i
+		pos[v] = int32(i)
+		label[i] = int32(v)
 	}
-	return &Space{G: g.Relabel(perm)}, order
+	rows := bitset.MakeSlab(g.N, g.N)
+	for i, v := range order {
+		row := rows[i]
+		g.Adj[v].ForEach(func(u int) bool {
+			row.Add(int(pos[u]))
+			return true
+		})
+	}
+	return &Space{G: g, rows: rows, label: label}
 }
 
 // Node is one search-tree node: a clique under construction, the
 // candidate vertices that may extend it, and the colour bound on how
-// many candidates can still join (Listing 1's Node struct).
+// many candidates can still join (Listing 1's Node struct). Clique is
+// in G's labels, so every returned witness is a clique of the input
+// graph as given; Cands is in search labels (see Space).
 type Node struct {
-	Clique bitset.Set // current clique
+	Clique bitset.Set // current clique, G labels
 	Size   int        // |Clique|
-	Cands  bitset.Set // vertices adjacent to all of Clique
+	Cands  bitset.Set // search vertices adjacent to all of Clique
 	Bound  int        // greedy-colouring bound on extensions
 }
 
@@ -122,7 +143,7 @@ func (g *gen) Reset(s *Space, parent Node) {
 		g.k = 0
 		return
 	}
-	g.order, g.colour = greedyColourInto(s.G, parent.Cands, g.order[:0], g.colour[:0], g.uncol, g.class)
+	g.order, g.colour = bitset.ColourClasses(parent.Cands, s.rows, g.uncol, g.class, g.order[:0], g.colour[:0])
 	g.remaining.CopyFrom(parent.Cands)
 	g.k = len(g.order)
 }
@@ -160,8 +181,8 @@ func (g *gen) Next() Node {
 		clique, cands = bitset.MakePair(g.s.G.N)
 	}
 	clique.CopyFrom(g.parent.Clique)
-	clique.Add(v)
-	bitset.IntersectInto(cands, g.remaining, g.s.G.Adj[v])
+	clique.Add(int(g.s.label[v]))
+	bitset.IntersectInto(cands, g.remaining, g.s.rows[v])
 	// The extension bound is colour[k] - 1, not colour[k]: colour[k]
 	// bounds the largest clique within {order[0..k]}, which counts v
 	// itself — and v's whole colour class is an independent set, so
@@ -181,37 +202,16 @@ func (g *gen) Next() Node {
 // each position i, the number of colours used to colour order[0..i] —
 // an upper bound on the largest clique within {order[0], …, order[i]}.
 func GreedyColour(g *graph.Graph, p bitset.Set) (order, colour []int32) {
-	n := p.Count()
-	backing := make([]int32, 2*n)
-	order = backing[:0:n]
-	colour = backing[n : n : 2*n]
-	uncoloured, class := bitset.MakePair(g.N)
-	return greedyColourInto(g, p, order, colour, uncoloured, class)
+	return greedyColour(g.Adj, p)
 }
 
-// greedyColourInto is GreedyColour appending into caller-provided
-// slices and colouring through caller-provided scratch sets (both
-// capacity g.N). It does not modify p. Recycled generators call it
-// with their per-level scratch, making recolouring allocation-free.
-func greedyColourInto(g *graph.Graph, p bitset.Set, order, colour []int32, uncoloured, class bitset.Set) ([]int32, []int32) {
-	uncoloured.CopyFrom(p)
-	c := int32(0)
-	for !uncoloured.Empty() {
-		c++
-		class.CopyFrom(uncoloured)
-		for {
-			// PopNext fuses the Min+Remove pair into one scan.
-			v := class.PopNext()
-			if v < 0 {
-				break
-			}
-			order = append(order, int32(v))
-			colour = append(colour, c)
-			uncoloured.Remove(v)
-			class.DifferenceWith(g.Adj[v])
-		}
-	}
-	return order, colour
+// greedyColour is GreedyColour under any adjacency rows, such as a
+// Space's search-order rows.
+func greedyColour(rows []bitset.Set, p bitset.Set) (order, colour []int32) {
+	n := p.Count()
+	backing := make([]int32, 2*n)
+	uncoloured, class := bitset.MakePair(p.Cap())
+	return bitset.ColourClasses(p, rows, uncoloured, class, backing[:0:n], backing[n:n:2*n])
 }
 
 // Objective is the clique size (maximised).

@@ -229,18 +229,41 @@ func TestRootNode(t *testing.T) {
 	}
 }
 
+func TestSpaceSearchOrder(t *testing.T) {
+	// rows is G relabelled by the MCSa initial order: label is
+	// graph.DegreeOrder, and search vertices i, j are adjacent exactly
+	// when label[i], label[j] are.
+	for _, g := range []*graph.Graph{graph.Random(70, 0.5, 2), graph.New(5), graph.New(0)} {
+		s := NewSpace(g)
+		for i, v := range g.DegreeOrder() {
+			if int(s.label[i]) != v {
+				t.Fatalf("label[%d] = %d, want DegreeOrder %d", i, s.label[i], v)
+			}
+		}
+		for i := 0; i < g.N; i++ {
+			for j := 0; j < g.N; j++ {
+				if s.rows[i].Contains(j) != g.HasEdge(int(s.label[i]), int(s.label[j])) {
+					t.Fatalf("rows[%d] has %d = %v, G disagrees", i, j, s.rows[i].Contains(j))
+				}
+			}
+		}
+	}
+}
+
 func TestGenChildOrderIsReverseColour(t *testing.T) {
 	g := graph.Random(20, 0.5, 9)
 	s := NewSpace(g)
 	root := Root(s)
-	order, colour := GreedyColour(g, root.Cands)
+	// The root's candidates are every search vertex; the generator
+	// yields them in reverse colour order of the search-order rows.
+	order, colour := greedyColour(s.rows, root.Cands)
 	gen := Gen(s, root)
 	i := len(order) - 1
 	for gen.HasNext() {
 		child := gen.Next()
-		v := int(order[i])
-		if !child.Clique.Contains(v) {
-			t.Fatalf("child %d should add vertex %d", len(order)-1-i, v)
+		v := int(s.label[order[i]])
+		if child.Size != 1 || !child.Clique.Contains(v) {
+			t.Fatalf("child %d should be the clique {%d}, got %v", len(order)-1-i, v, child.Clique)
 		}
 		// The extension bound is the MCSa colour[i] - 1: v's own colour
 		// class cannot survive the candidate intersection.
@@ -255,7 +278,8 @@ func TestGenChildOrderIsReverseColour(t *testing.T) {
 }
 
 func TestGenChildCandidatesSound(t *testing.T) {
-	// every candidate of a child is adjacent to all clique members
+	// every candidate of a child, read through the search order, is
+	// adjacent in G to all clique members
 	g := graph.Random(30, 0.5, 13)
 	s := NewSpace(g)
 	gen := Gen(s, Root(s))
@@ -263,8 +287,8 @@ func TestGenChildCandidatesSound(t *testing.T) {
 		child := gen.Next()
 		child.Cands.ForEach(func(c int) bool {
 			child.Clique.ForEach(func(m int) bool {
-				if !g.HasEdge(c, m) {
-					t.Fatalf("candidate %d not adjacent to clique member %d", c, m)
+				if !g.HasEdge(int(s.label[c]), m) {
+					t.Fatalf("candidate %d (G vertex %d) not adjacent to clique member %d", c, s.label[c], m)
 				}
 				return true
 			})
@@ -273,24 +297,72 @@ func TestGenChildCandidatesSound(t *testing.T) {
 	}
 }
 
-func TestDegeneracySpaceSameAnswer(t *testing.T) {
-	for seed := int64(40); seed < 46; seed++ {
-		g := graph.Random(45, 0.6, seed)
-		plain, _ := Solve(g, core.Sequential, core.Config{})
-		s, orig := NewSpaceDegeneracy(g)
-		res := core.Opt(core.Sequential, s, Root(s), OptProblem(), core.Config{})
-		if int(res.Objective) != plain.Count() {
-			t.Errorf("seed %d: degeneracy order found %d, plain %d", seed, res.Objective, plain.Count())
+func TestSequentialVisitsHandcodedTree(t *testing.T) {
+	// The skeleton and the hand-coded solver search the same order
+	// with the same bound, so they visit exactly the same nodes; the
+	// skeleton's count also holds the root.
+	for seed := int64(30); seed < 36; seed++ {
+		for _, p := range []float64{0.3, 0.6, 0.9} {
+			g := graph.Random(60, p, seed)
+			_, stats := Solve(g, core.Sequential, core.Config{})
+			_, nodes := SeqHandcoded(g)
+			if stats.Nodes != nodes+1 {
+				t.Errorf("seed %d p %.1f: skeleton visited %d nodes, hand-coded %d (+1 root)", seed, p, stats.Nodes, nodes)
+			}
 		}
-		// the witness translates back to a clique of the original graph
-		back := bitset.New(g.N)
-		res.Best.Clique.ForEach(func(v int) bool {
-			back.Add(orig[v])
-			return true
-		})
-		if !g.IsClique(back) {
-			t.Errorf("seed %d: translated witness is not a clique", seed)
+	}
+}
+
+// tiedGraphs are small graphs in which many vertices share a degree,
+// so the order's index tie-break decides the search labels.
+func tiedGraphs() []*graph.Graph {
+	cycle := graph.New(12) // every vertex degree 2
+	for v := 0; v < 12; v++ {
+		cycle.AddEdge(v, (v+1)%12)
+	}
+	// Two disjoint K4s and a K5 joined by a path: ties inside every
+	// block, and the unique maximum clique at the highest labels.
+	blocks := graph.New(13)
+	for _, b := range [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}, {8, 9, 10, 11, 12}} {
+		for i := range b {
+			for j := i + 1; j < len(b); j++ {
+				blocks.AddEdge(b[i], b[j])
+			}
 		}
+	}
+	blocks.AddEdge(3, 4)
+	blocks.AddEdge(7, 8)
+	gs := []*graph.Graph{cycle, blocks}
+	for seed := int64(0); seed < 4; seed++ {
+		gs = append(gs, graph.Random(16, 0.5, seed))
+	}
+	return gs
+}
+
+func TestWitnessesAreCliquesOfInputGraph(t *testing.T) {
+	// Every solver returns its witness in G's labels: a clique of the
+	// input graph as given, of size ω.
+	for gi, g := range tiedGraphs() {
+		want := bruteForceMaxClique(g)
+		check := func(name string, c bitset.Set) {
+			t.Helper()
+			if c.Count() != want || !g.IsClique(c) {
+				t.Errorf("graph %d %s: witness %v (size %d) is not a maximum clique of G (ω=%d)", gi, name, c, c.Count(), want)
+			}
+		}
+		for _, coord := range []core.Coordination{core.Sequential, core.DepthBounded, core.StackStealing, core.Budget} {
+			c, _ := Solve(g, coord, core.Config{Workers: 3, DCutoff: 1, Budget: 4})
+			check(coord.String(), c)
+			k, found, _ := Decide(g, want, coord, core.Config{Workers: 3, DCutoff: 1, Budget: 4})
+			if !found {
+				t.Errorf("graph %d %v: %d-clique not found", gi, coord, want)
+			}
+			check(coord.String()+" decide", k)
+		}
+		seq, _ := SeqHandcoded(g)
+		check("SeqHandcoded", seq)
+		par, _ := ParHandcoded(g, 3)
+		check("ParHandcoded", par)
 	}
 }
 

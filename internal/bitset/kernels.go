@@ -78,3 +78,59 @@ func (s Set) PopNext() int {
 	}
 	return -1
 }
+
+// ColourClasses is the greedy sequential colouring of the clique
+// searches, word-resumed. It colours p under the adjacency rows adj
+// (adj[v] is v's neighbourhood, of p's capacity): each colour class
+// is grown by repeatedly taking the smallest vertex not yet excluded
+// from it and excluding that vertex's neighbours. It appends p's
+// elements to order in class order and, for each, to colour the
+// number of classes opened so far, returning both slices.
+//
+// Within a class, vertices are popped in ascending order, so once a
+// vertex in word w is popped every lower word of the class is zero:
+// find-first-set resumes at w, and the neighbourhood difference starts
+// at w too. A new class likewise starts at the lowest non-empty word
+// of the uncoloured set.
+//
+// uncol and class are scratch of p's capacity and must not alias each
+// other; their contents afterwards are unspecified. p is read once,
+// before either is written, so it may alias one of them (and is then
+// consumed).
+func ColourClasses(p Set, adj []Set, uncol, class Set, order, colour []int32) ([]int32, []int32) {
+	uw := uncol.words
+	if len(p.words) != len(uw) || len(class.words) != len(uw) {
+		panic("bitset: ColourClasses capacity mismatch")
+	}
+	cw := class.words[:len(uw)]
+	copy(uw, p.words)
+	c := int32(0)
+	for lo := 0; ; {
+		for lo < len(uw) && uw[lo] == 0 {
+			lo++
+		}
+		if lo == len(uw) {
+			return order, colour
+		}
+		c++
+		copy(cw[lo:], uw[lo:])
+		for w := lo; w < len(cw); {
+			x := cw[w]
+			if x == 0 {
+				w++
+				continue
+			}
+			b := bits.TrailingZeros64(x)
+			v := w*wordBits + b
+			cw[w] = x & (x - 1)
+			uw[w] &^= 1 << uint(b)
+			order = append(order, int32(v))
+			colour = append(colour, c)
+			row := adj[v].words[w:len(cw)]
+			rest := cw[w:][:len(row)]
+			for i := range row {
+				rest[i] &^= row[i]
+			}
+		}
+	}
+}

@@ -83,3 +83,50 @@ func sizeName(n int) string {
 	}
 	return "n1024"
 }
+
+// BenchmarkHotPathColour colours the whole of a 0.5-density graph:
+// the word-resumed ColourClasses against the full-width
+// PopNext+DifferenceWith loop it replaced.
+func BenchmarkHotPathColour(b *testing.B) {
+	for _, n := range []int{300, 1024} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		adj := make([]Set, n)
+		for v := range adj {
+			adj[v] = New(n)
+		}
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Float64() < 0.5 {
+					adj[u].Add(v)
+					adj[v].Add(u)
+				}
+			}
+		}
+		p := New(n)
+		p.Fill()
+		uncol, class := MakePair(n)
+		order, colour := make([]int32, 0, n), make([]int32, 0, n)
+		b.Run(sizeName(n)+"/resumed", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				order, colour = ColourClasses(p, adj, uncol, class, order[:0], colour[:0])
+			}
+			sink = len(order)
+		})
+		b.Run(sizeName(n)+"/primitive", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				order, colour = order[:0], colour[:0]
+				uncol.CopyFrom(p)
+				for c := int32(1); !uncol.Empty(); c++ {
+					class.CopyFrom(uncol)
+					for v := class.PopNext(); v >= 0; v = class.PopNext() {
+						order = append(order, int32(v))
+						colour = append(colour, c)
+						uncol.Remove(v)
+						class.DifferenceWith(adj[v])
+					}
+				}
+			}
+			sink = len(order)
+		})
+	}
+}

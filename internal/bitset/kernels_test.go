@@ -2,6 +2,7 @@ package bitset
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -188,5 +189,139 @@ func FuzzIntersectKernels(f *testing.F) {
 		if got := dst.PopNext(); got != wantMin && !(got == -1 && wantMin == -1) {
 			t.Fatalf("PopNext %d, want Min %d", got, wantMin)
 		}
+	})
+}
+
+// refColour is the trusted greedy colouring: whole-set Min, Remove and
+// DifferenceWith on fresh clones, no word resumption.
+func refColour(p Set, adj []Set) (order, colour []int32) {
+	uncol := p.Clone()
+	for c := int32(1); !uncol.Empty(); c++ {
+		class := uncol.Clone()
+		for !class.Empty() {
+			v := class.Min()
+			class.Remove(v)
+			uncol.Remove(v)
+			order = append(order, int32(v))
+			colour = append(colour, c)
+			class.DifferenceWith(adj[v])
+		}
+	}
+	return order, colour
+}
+
+// randomAdj returns n symmetric, loop-free adjacency rows of density
+// drawn per graph, so both sparse and dense colourings appear.
+func randomAdj(n int, rng *rand.Rand) []Set {
+	adj := make([]Set, n)
+	for v := range adj {
+		adj[v] = New(n)
+	}
+	p := rng.Float64()
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if rng.Float64() < p {
+				adj[u].Add(v)
+				adj[v].Add(u)
+			}
+		}
+	}
+	return adj
+}
+
+// checkColour runs ColourClasses on p with fresh scratch and with p
+// aliasing each scratch set, and compares every result with refColour.
+func checkColour(t *testing.T, p Set, adj []Set) {
+	t.Helper()
+	wantOrder, wantColour := refColour(p, adj)
+	n := p.Cap()
+	uncol, class := MakePair(n)
+	// Stale scratch must not leak into the result.
+	uncol.Fill()
+	class.Fill()
+	keep := p.Clone()
+	order, colour := ColourClasses(p, adj, uncol, class, nil, nil)
+	if !slices.Equal(order, wantOrder) || !slices.Equal(colour, wantColour) {
+		t.Fatalf("n=%d p=%v: ColourClasses = %v/%v, want %v/%v", n, p, order, colour, wantOrder, wantColour)
+	}
+	if !p.Equal(keep) {
+		t.Fatalf("n=%d: ColourClasses modified p", n)
+	}
+	// Appends after existing elements, reusing the caller's slices.
+	order, colour = ColourClasses(p, adj, uncol, class, []int32{-1}, []int32{-1})
+	if len(order) != len(wantOrder)+1 || order[0] != -1 || colour[0] != -1 ||
+		!slices.Equal(order[1:], wantOrder) || !slices.Equal(colour[1:], wantColour) {
+		t.Fatalf("n=%d: appending ColourClasses = %v/%v", n, order, colour)
+	}
+	// p aliasing the uncoloured scratch, then the class scratch.
+	q := p.Clone()
+	order, colour = ColourClasses(q, adj, q, class, nil, nil)
+	if !slices.Equal(order, wantOrder) || !slices.Equal(colour, wantColour) {
+		t.Fatalf("n=%d: p aliasing uncol gave %v/%v, want %v/%v", n, order, colour, wantOrder, wantColour)
+	}
+	q = p.Clone()
+	order, colour = ColourClasses(q, adj, uncol, q, nil, nil)
+	if !slices.Equal(order, wantOrder) || !slices.Equal(colour, wantColour) {
+		t.Fatalf("n=%d: p aliasing class gave %v/%v, want %v/%v", n, order, colour, wantOrder, wantColour)
+	}
+}
+
+func TestColourClassesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range kernelCaps {
+		for trial := 0; trial < 25; trial++ {
+			adj := randomAdj(n, rng)
+			checkColour(t, randomSet(n, rng), adj)
+			full := New(n)
+			full.Fill()
+			checkColour(t, full, adj)
+		}
+	}
+}
+
+func TestColourClassesCapacityMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("capacity mismatch did not panic")
+		}
+	}()
+	ColourClasses(New(64), randomAdj(64, rand.New(rand.NewSource(5))), New(65), New(64), nil, nil)
+}
+
+// FuzzColourClasses cross-checks the word-resumed colouring against
+// the reference on fuzzer-chosen graphs: the first byte picks the
+// capacity (up to 300, crossing every word edge), the next bytes the
+// candidate set, and the rest the edges, one bit per vertex pair.
+func FuzzColourClasses(f *testing.F) {
+	f.Add([]byte{65, 0xff, 0xff}, []byte{0xaa, 0x55, 0x0f})
+	f.Add([]byte{1}, []byte{})
+	f.Add([]byte{64, 0x01, 0x80}, make([]byte, 600))
+	f.Add([]byte{0xff, 0xf0}, []byte{0x3c, 0xc3, 0x99})
+	f.Fuzz(func(t *testing.T, set, edges []byte) {
+		if len(set) == 0 {
+			return
+		}
+		n := int(set[0]) % 301
+		p := New(n)
+		for v := 0; v < n; v++ {
+			if i := 1 + v/8; i >= len(set) || set[i]&(1<<(v%8)) != 0 {
+				p.Add(v)
+			}
+		}
+		adj := make([]Set, n)
+		for v := range adj {
+			adj[v] = New(n)
+		}
+		k := 0
+		for u := 0; u < n && k/8 < len(edges); u++ {
+			for v := u + 1; v < n && k/8 < len(edges); v++ {
+				if edges[k/8]&(1<<(k%8)) != 0 {
+					adj[u].Add(v)
+					adj[v].Add(u)
+				}
+				k++
+			}
+		}
+		checkColour(t, p, adj)
 	})
 }

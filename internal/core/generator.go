@@ -69,7 +69,11 @@ type EphemeralGenerator[S, N any] interface {
 
 // cachedGen is one recycling-cache slot: the resettable generator plus
 // its ephemeral face when it has one (probed once, at construction).
+// g is the same generator as the NodeGenerator the loops consume, kept
+// so handing it back needs no interface conversion (an itab lookup)
+// per expansion.
 type cachedGen[S, N any] struct {
+	g  NodeGenerator[N]
 	rg ResettableGenerator[S, N]
 	eg EphemeralGenerator[S, N] // nil when rg is not ephemeral-capable
 }
@@ -110,7 +114,7 @@ func (c *genCache[S, N]) install(level int, g NodeGenerator[N]) {
 		c.levels = append(c.levels, cachedGen[S, N]{})
 	}
 	eg, _ := g.(EphemeralGenerator[S, N])
-	c.levels[level] = cachedGen[S, N]{rg: rg, eg: eg}
+	c.levels[level] = cachedGen[S, N]{g: g, rg: rg, eg: eg}
 }
 
 // gen returns a generator for parent at the given stack level,
@@ -122,9 +126,9 @@ func (c *genCache[S, N]) gen(level int, parent N) NodeGenerator[N] {
 		return c.gf(c.space, parent)
 	}
 	if level < len(c.levels) {
-		if rg := c.levels[level].rg; rg != nil {
-			rg.Reset(c.space, parent)
-			return rg
+		if l := &c.levels[level]; l.rg != nil {
+			l.rg.Reset(c.space, parent)
+			return l.g
 		}
 	}
 	g := c.gf(c.space, parent)
@@ -141,12 +145,12 @@ func (c *genCache[S, N]) genDFS(level int, parent N) NodeGenerator[N] {
 		return c.gf(c.space, parent)
 	}
 	if level < len(c.levels) {
-		if l := c.levels[level]; l.eg != nil {
+		if l := &c.levels[level]; l.eg != nil {
 			l.eg.ResetEphemeral(c.space, parent)
-			return l.eg
+			return l.g
 		} else if l.rg != nil {
 			l.rg.Reset(c.space, parent)
-			return l.rg
+			return l.g
 		}
 	}
 	g := c.gf(c.space, parent)

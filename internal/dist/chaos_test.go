@@ -91,8 +91,10 @@ func TestConformanceCoordinatorDeathFailover(t *testing.T) {
 
 			var killed atomic.Bool
 			stop := ChaosPlan{Kills: []ChaosKill{{Rank: 0, After: 10 * time.Millisecond}}}.Start(func(rank int) {
-				kill(t, h, trs, rank)
+				// Marked first: kill makes the death observable before
+				// it returns.
 				killed.Store(true)
+				kill(t, h, trs, rank)
 			})
 			defer stop()
 

@@ -826,6 +826,18 @@ func (w *worker) rejoin(cand int, rep int64) bool {
 		w.meldBound(welcome.From, welcome.PB)
 	}
 	w.cn.Store(cn)
+	// A bound broadcast between building the kRejoin and the swap went
+	// down the dead hub link, and its piggyback stamp rides only later
+	// traffic, which an idle rank may never send: re-send this rank's
+	// best broadcast on the new link. Bounds meld by maximum, so a
+	// repeat is harmless.
+	w.ownMu.Lock()
+	own := w.ownBound
+	w.ownMu.Unlock()
+	if own != nil {
+		f := *own
+		cn.send(&f)
+	}
 	go w.readLoop(cn)
 	return true
 }

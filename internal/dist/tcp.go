@@ -1890,6 +1890,9 @@ type worker struct {
 	peerPrio []atomic.Int64
 	ctr      wireCounters
 
+	ownMu    sync.Mutex
+	ownBound *frame // best kBound this rank broadcast; re-sent after a rejoin
+
 	flushStop chan struct{}
 	flushOnce sync.Once
 	closed    atomic.Bool
@@ -2216,6 +2219,14 @@ func (w *worker) BroadcastBound(obj int64, node []byte) error {
 		return h.BroadcastBound(obj, node)
 	}
 	raiseMax(&w.pbStamp, obj)
+	// Recorded before the connection is read, so a broadcast that races
+	// a takeover either goes out on the promoted link or is re-sent by
+	// rejoin, which reads it only after swapping that link in.
+	w.ownMu.Lock()
+	if w.ownBound == nil || obj > w.ownBound.Obj {
+		w.ownBound = &frame{Kind: kBound, From: w.rank, Obj: obj, Blob: append([]byte(nil), node...)}
+	}
+	w.ownMu.Unlock()
 	return w.conn().send(&frame{Kind: kBound, From: w.rank, Obj: obj, Blob: node})
 }
 

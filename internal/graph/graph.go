@@ -61,8 +61,9 @@ func (g *Graph) Density() float64 {
 }
 
 // DegreeOrder returns the vertices sorted by non-increasing degree,
-// ties broken by vertex index. This is the static heuristic order used
-// by the clique and subgraph-isomorphism node generators.
+// ties broken by vertex index. It is MCSa's initial vertex order: the
+// maximum-clique search space relabels its graph by it once, so the
+// greedy colouring meets high-degree vertices first.
 func (g *Graph) DegreeOrder() []int {
 	order := make([]int, g.N)
 	deg := make([]int, g.N)

@@ -183,7 +183,7 @@ func runPartitionedDeployment(t *testing.T, bin string, appFlags []string, cutAf
 func testPartition(t *testing.T, appFlags []string, cutDur time.Duration, landed func(deaths, replayed, resumes int) bool, verify func(t *testing.T, out string, deaths, replayed, resumes int)) {
 	t.Helper()
 	bin := yewparBinary(t)
-	single, err := exec.Command(bin, appFlags...).CombinedOutput()
+	single, freeElapsed, err := timedRun(bin, appFlags)
 	if err != nil {
 		t.Fatalf("single-process run failed: %v\n%s", err, single)
 	}
@@ -206,7 +206,7 @@ func testPartition(t *testing.T, appFlags []string, cutDur time.Duration, landed
 		verify(t, out, deaths, replayed, resumes)
 		return
 	}
-	t.Fatal("search finished before the cut landed on every attempt")
+	t.Fatalf("search finished before the cut landed on every attempt (failure-free run took %v)", freeElapsed)
 }
 
 func atoi(t *testing.T, s string) int {
@@ -232,7 +232,7 @@ func TestDistributedPartitionHealMesh(t *testing.T) {
 }
 
 func testDistributedPartitionHeal(t *testing.T, extraFlags []string) {
-	appFlags := []string{"-app", "maxclique", "-n", "160", "-p", "0.8", "-skeleton", "depthbounded",
+	appFlags := []string{"-app", "maxclique", "-n", "200", "-p", "0.8", "-skeleton", "depthbounded",
 		"-d", "2", "-workers", "2", "-link-grace", "2s"}
 	appFlags = append(appFlags, extraFlags...)
 	testPartition(t, appFlags, 300*time.Millisecond,
@@ -251,7 +251,7 @@ func testDistributedPartitionHeal(t *testing.T, extraFlags []string) {
 // to the v4 death path: the severed worker is mourned, its ledger
 // entries replay, and the answer is still exact.
 func TestDistributedPartitionDeathStar(t *testing.T) {
-	appFlags := []string{"-app", "maxclique", "-n", "160", "-p", "0.8", "-skeleton", "depthbounded",
+	appFlags := []string{"-app", "maxclique", "-n", "200", "-p", "0.8", "-skeleton", "depthbounded",
 		"-d", "2", "-workers", "2", "-link-grace", "300ms", "-max-failures", "1"}
 	testPartition(t, appFlags, 5*time.Second,
 		func(deaths, replayed, resumes int) bool { return deaths > 0 },
